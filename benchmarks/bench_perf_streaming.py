@@ -3,8 +3,8 @@
 Two workloads, both against the contracts in ``docs/streaming.md``:
 
 - **nb_stream**: GaussianNaiveBayes consuming a seeded row stream in
-  micro-batches.  Records rows/second (the exact-rational arithmetic is
-  the price of bitwise batch-equivalence — the
+  micro-batches.  Records rows/second (the exact integer
+  superaccumulator is the price of bitwise batch-equivalence — the
   ``streaming-throughput-floor`` gate keeps it from silently rotting)
   and verifies the streamed model is bitwise identical to one-shot
   ``fit`` on the concatenation (``nb-batch-stream-bitwise``).
@@ -38,11 +38,11 @@ register_bench(BenchSpec(
     tags=("perf", "streaming"),
     metrics={
         "nb_stream.rows_per_second":
-            "GaussianNB micro-batch ingest rate (gate >= 5000)",
+            "GaussianNB micro-batch ingest rate (gate >= 140000)",
         "nb_stream.batch_stream_identical":
             "1.0 when the streamed model bitwise equals one-shot fit",
         "floor_stream.chips_per_second":
-            "shipped chips/s through the floor loop (gate >= 400)",
+            "shipped chips/s through the floor loop (gate >= 60000)",
         "floor_stream.resume_identical":
             "1.0 when the resumed run's model bitwise equals uninterrupted",
     },
@@ -93,7 +93,7 @@ def test_perf_streaming(sink):
             "n_rows": n_rows,
             "n_features": 6,
             "micro_batch": micro,
-            "model": "GaussianNaiveBayes (exact-rational moments)",
+            "model": "GaussianNaiveBayes (exact integer moments)",
         },
         "elapsed_seconds": nb_elapsed,
         "rows_per_second": rows_per_second,

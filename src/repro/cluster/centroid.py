@@ -4,7 +4,7 @@ The supervised sibling of k-means: each class is summarized by the mean
 of its members and prediction is nearest-centroid assignment.  Because
 the model *is* a set of per-class means, it streams exactly: the
 centroids are derived from :class:`~repro.core.streaming.ExactMoments`
-rational sums, so :meth:`NearestCentroid.partial_fit` over any
+exact sums, so :meth:`NearestCentroid.partial_fit` over any
 micro-batching is bitwise-identical to one-shot :meth:`NearestCentroid.fit`
 on the concatenation (the strong contract in ``docs/streaming.md``).
 """

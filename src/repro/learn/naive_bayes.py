@@ -7,15 +7,13 @@ each estimated from one column of the Fig. 1 dataset.
 Both estimators here are sufficient-statistics models, so they carry the
 strong streaming contract (``docs/streaming.md``): ``fit`` is defined as
 "reset, then one ``partial_fit``", the statistics are accumulated
-exactly (:class:`~repro.core.streaming.ExactMoments` rationals for the
+exactly (:class:`~repro.core.streaming.ExactMoments` integer totals for the
 Gaussian, integer counts for the Bernoulli), and therefore any
 micro-batching of the stream — in any batch order — produces a model
 bitwise-identical to one-shot ``fit`` on the concatenation.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -39,7 +37,7 @@ class GaussianNaiveBayes(Estimator, ClassifierMixin):
     zero-variance density.
 
     Streaming: :meth:`partial_fit` accumulates per-class count, sum, and
-    sum-of-squares as exact rationals, and re-derives ``theta_``,
+    sum-of-squares exactly, and re-derives ``theta_``,
     ``var_``, and ``class_prior_`` from the totals after every batch —
     so the model depends only on the multiset of rows seen, never on the
     batching.  Classes declared via ``classes=`` but not yet observed
@@ -97,7 +95,7 @@ class GaussianNaiveBayes(Estimator, ClassifierMixin):
     def _refresh_from_moments(self) -> None:
         """Re-derive the fitted arrays from the exact totals.
 
-        All arithmetic stays rational until the final float conversion,
+        All arithmetic stays exact until the final float conversion,
         so the result is a function of the totals alone (order- and
         batching-independent).
         """
@@ -113,12 +111,14 @@ class GaussianNaiveBayes(Estimator, ClassifierMixin):
                 self.theta_[index] = moments.mean()
                 var_raw[index] = moments.variance(ddof=0)
                 pooled.merge(moments)
-            self.class_prior_[index] = float(Fraction(moments.count, total))
+            self.class_prior_[index] = moments.count / total
         # the smoothing floor mirrors batch fit's
         # ``max(X.var(axis=0).max(), 1e-12)``, computed exactly over the
-        # pooled stream so it too is batching-independent
-        largest = max(pooled.variance_exact(ddof=0))
-        epsilon = self.var_smoothing * max(float(largest), 1e-12)
+        # pooled stream so it too is batching-independent (rounding is
+        # monotone, so the largest rounded variance is the rounded
+        # largest exact one)
+        largest = float(pooled.variance(ddof=0).max())
+        epsilon = self.var_smoothing * max(largest, 1e-12)
         self.var_ = var_raw + epsilon
 
     def _joint_log_likelihood(self, X) -> np.ndarray:

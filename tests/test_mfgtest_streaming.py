@@ -240,3 +240,54 @@ def test_sigkill_midstream_resume_is_bitwise_identical(tmp_path):
     probe = floor.campaign.X
     assert np.array_equal(resumed.model.score_samples(probe),
                           reference.model.score_samples(probe))
+
+
+# ---------------------------------------------------------------------
+# chi-squared thresholds without scipy.stats
+# ---------------------------------------------------------------------
+
+
+def test_chi2_quantile_matches_scipy_stats_bitwise():
+    from scipy.stats import chi2
+
+    from repro.mfgtest.outlier import _chi2_quantile
+
+    for dof in range(1, 200):
+        for q in (0.5, 0.51, 0.75, 0.9, 0.95, 0.99, 0.999, 0.9999, 1.0):
+            want = float(chi2.ppf(q, dof))
+            got = _chi2_quantile(q, dof)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+_NO_STATS_SCRIPT = """\
+import sys
+
+sys.path.insert(0, {src!r})
+
+import numpy as np
+
+from repro.mfgtest import (
+    RobustMahalanobisDetector,
+    StreamingTestFloor,
+    run_streaming_discovery,
+)
+
+floor = StreamingTestFloor(n_batches=4, batch_size=60, random_state=5)
+run = run_streaming_discovery(floor)
+assert np.isfinite(run.model.threshold_)
+RobustMahalanobisDetector().fit(floor.campaign.X)
+assert "scipy.stats" not in sys.modules, "scipy.stats was imported"
+print("CLEAN")
+"""
+
+
+def test_streaming_screen_never_imports_scipy_stats(tmp_path):
+    """The floor path keeps ``scipy.stats`` (20 MB and 0.3 s to import)
+    out of the process: both detectors threshold through
+    ``scipy.special``."""
+    script = tmp_path / "screen.py"
+    script.write_text(_NO_STATS_SCRIPT.format(src=SRC))
+    out = subprocess.run([sys.executable, str(script)], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().endswith("CLEAN")
