@@ -8,13 +8,10 @@ manifest'd per-run directory under ``benchmarks/artifacts/<bench>/`` —
 the same artifact layout the ``repro`` CLI produces — plus the legacy
 flat mirror under ``benchmarks/results/`` (now stamped with the run id,
 so two runs are attributable and the canonical copies never clobber).
-
-``record_result`` survives as a deprecation shim over ``sink.text``.
 """
 
 import pathlib
 import sys
-import warnings
 
 import pytest
 
@@ -44,19 +41,3 @@ def sink(request):
         the_sink, spec,
         out_root=ARTIFACTS_DIR, mirror_dir=RESULTS_DIR,
     )
-
-
-@pytest.fixture(scope="module")
-def record_result(sink):
-    """Deprecated alias for ``sink.text`` — migrate to the sink API."""
-
-    def record(name: str, text: str) -> None:
-        warnings.warn(
-            "record_result is deprecated; use the `sink` fixture "
-            "(sink.text/record/metric) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        sink.text(name, text)
-
-    return record

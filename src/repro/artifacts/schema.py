@@ -84,8 +84,8 @@ def _deep_merge(target: dict, update: Mapping) -> dict:
 class MetricSink:
     """Collects everything one bench run emits.
 
-    Three channels, replacing the ad-hoc ``record_result`` /
-    ``_merge_json`` pairs the benches used to carry individually:
+    Three channels, replacing the ad-hoc table writers and
+    ``_merge_json`` helpers the benches used to carry individually:
 
     - :meth:`text` — a human-readable table or row block, printed as it
       arrives (visible under ``pytest -s``) and persisted under the run
@@ -389,7 +389,7 @@ def _is_fixture(obj) -> bool:
 class _FixtureScope:
     """Just enough of pytest's fixture model to execute bench modules:
     module-level zero-dependency-cycle fixtures, ``benchmark``,
-    ``record_result``/``sink``, and single-level ``parametrize``."""
+    ``sink``, and single-level ``parametrize``."""
 
     def __init__(self, module, sink: MetricSink):
         self.module = module
@@ -400,8 +400,6 @@ class _FixtureScope:
     def resolve(self, name: str):
         if name == "sink":
             return self.sink
-        if name == "record_result":
-            return self.sink.text
         if name == "benchmark":
             return _NullBenchmark()
         if name in self.cache:

@@ -82,7 +82,6 @@ __all__ = [
     "ProcessBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
     "spawn_seeds",
 ]
 
@@ -163,6 +162,25 @@ def _format_traceback(error: BaseException) -> str:
     return "".join(
         traceback.format_exception(type(error), error, error.__traceback__)
     )
+
+
+def _task_failure(error: BaseException, index: int, attempts: int,
+                  backend: str) -> Exception:
+    """What a task that gave up after *attempts* tries raises: its own
+    :class:`TaskTimeoutError`, or a :class:`WorkerError` carrying the
+    worker-side traceback with *error* as its cause."""
+    if isinstance(error, TaskTimeoutError):
+        error.attempts = attempts
+        return error
+    failure = WorkerError(
+        f"task {index} failed on the {backend} backend "
+        f"after {attempts} attempt(s): {error!r}",
+        task_index=index,
+        attempts=attempts,
+        traceback_str=_format_traceback(error),
+    )
+    failure.__cause__ = error
+    return failure
 
 
 class ExecutionBackend:
@@ -342,18 +360,8 @@ class ExecutionBackend:
             ),
         )
         for index, error in ordered:
-            if policy.should_retry(error, attempts[index]):
-                continue
-            if isinstance(error, TaskTimeoutError):
-                error.attempts = attempts[index]
-                raise error
-            raise WorkerError(
-                f"task {index} failed on the {self.name} backend "
-                f"after {attempts[index]} attempt(s): {error!r}",
-                task_index=index,
-                attempts=attempts[index],
-                traceback_str=_format_traceback(error),
-            ) from error
+            if not policy.should_retry(error, attempts[index]):
+                raise _task_failure(error, index, attempts[index], self.name)
 
     # ------------------------------------------------------------------
     def _execute(self, fn, calls, timeout=None, deadline=None,
@@ -573,32 +581,6 @@ _BACKENDS = {
     "processes": ProcessBackend,
 }
 
-# specs resolved by importing a module that registers them on import —
-# keeps heavyweight backends (the sharded file-protocol one) out of the
-# import path of everything that only ever runs serial
-_LAZY_BACKENDS = {
-    "sharded": "repro.core.shard",
-    "shards": "repro.core.shard",
-}
-
-
-def register_backend(name: str, backend_cls, aliases=()) -> None:
-    """Register an :class:`ExecutionBackend` subclass under *name*.
-
-    Extension point for backends living outside this module (e.g. the
-    sharded multi-process backend in :mod:`repro.core.shard`); after
-    registration ``get_backend(name)`` and every ``backend=`` seam that
-    funnels through it resolve the new class.
-    """
-    if not isinstance(name, str) or not name:
-        raise ValueError("backend name must be a non-empty string")
-    if not (isinstance(backend_cls, type)
-            and issubclass(backend_cls, ExecutionBackend)):
-        raise TypeError("backend_cls must subclass ExecutionBackend")
-    for key in (name, *aliases):
-        _BACKENDS[key.lower()] = backend_cls
-
-
 def available_backends() -> List[str]:
     """Canonical backend names accepted by :func:`get_backend`."""
     return ["serial", "thread", "process", "sharded"]
@@ -610,7 +592,9 @@ def get_backend(spec=None, n_workers: Optional[int] = None,
                 deadline=None) -> ExecutionBackend:
     """Resolve a backend specification.
 
-    ``None`` means serial; a string picks a registered backend; an
+    ``None`` means serial; a string picks a backend by name (see
+    :func:`available_backends`; ``"sharded"`` imports
+    :mod:`repro.core.shard` on first use); an
     :class:`ExecutionBackend` instance passes through unchanged (its own
     worker/retry/timeout configuration wins).
     """
@@ -621,11 +605,10 @@ def get_backend(spec=None, n_workers: Optional[int] = None,
     if isinstance(spec, ExecutionBackend):
         return spec
     if isinstance(spec, str):
-        backend_cls = _BACKENDS.get(spec.lower())
-        if backend_cls is None and spec.lower() in _LAZY_BACKENDS:
-            import importlib
-
-            importlib.import_module(_LAZY_BACKENDS[spec.lower()])
+        if spec.lower() in ("sharded", "shards"):
+            # imported on first use: the shard module builds on this one
+            from .shard import ShardedBackend as backend_cls
+        else:
             backend_cls = _BACKENDS.get(spec.lower())
         if backend_cls is None:
             raise ValueError(

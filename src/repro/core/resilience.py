@@ -10,7 +10,8 @@ policies the execution layer composes:
 
 - :class:`RetryPolicy` — exponential backoff with *deterministic*
   seeded jitter and a retryable-exception filter, replacing the bare
-  resubmit-immediately counter;
+  resubmit-immediately counter; :meth:`RetryPolicy.attempt` runs one
+  task under it;
 - :class:`Deadline` — a run-level wall-clock budget shared across every
   batch of a campaign;
 - :class:`ErrorPolicy` — what a fit/score failure means: raise, record
@@ -22,7 +23,7 @@ policies the execution layer composes:
 - :class:`LeaseFile` — a single-owner, heartbeat-renewed claim on a
   filesystem path, the mutual-exclusion primitive under the
   :mod:`~repro.core.shard` work protocol (atomic acquisition, stale
-  detection, and rename-based takeover);
+  detection, and single-winner takeover);
 - :class:`CircuitBreaker` — closed/open/half-open failure isolation
   with deterministic, seeded probe scheduling, the primitive the
   :mod:`repro.serve` scoring front end uses to keep a failing exact
@@ -31,6 +32,9 @@ policies the execution layer composes:
   shedding under :class:`Deadline` budgets: a request the system
   cannot serve in time is rejected *typed and immediately*, never
   queued into a hang.
+
+:func:`atomic_write` is the one durable small-file write under all of
+them (checkpoints, leases, shard plans and markers).
 
 Everything here is plain picklable data: policies travel inside task
 payloads to process workers, and a store is just a directory path plus
@@ -48,6 +52,7 @@ import tempfile
 import threading
 import time
 import uuid
+from contextlib import suppress
 from hashlib import blake2b
 from typing import Callable, Iterator, List, Optional, Tuple, Union
 
@@ -64,6 +69,7 @@ __all__ = [
     "LeaseFile",
     "CircuitBreaker",
     "AdmissionController",
+    "atomic_write",
     "fingerprint",
 ]
 
@@ -178,6 +184,36 @@ class RetryPolicy:
         """Whether a task that has now run *attempts* times and failed
         with *error* deserves another attempt."""
         return attempts < self.max_attempts and self.is_retryable(error)
+
+    def attempt(self, call: Callable[[], object], index: int, *,
+                deadline: Optional["Deadline"] = None,
+                emit: Optional[Callable] = None, label: str = "",
+                **meta) -> Tuple[bool, object, int]:
+        """Run ``call()`` for task *index* under this policy.
+
+        Returns ``(ok, value, attempts)``: the result on success, else
+        the last exception.  A failure ends the loop when
+        :meth:`should_retry` declines or *deadline* has expired;
+        otherwise the loop sleeps :meth:`delay`, reports a ``retry``
+        span through ``emit`` (an :meth:`EventLog.emit`-shaped callable,
+        given *label*, ``attempt``, ``error`` and *meta*), and calls
+        again.
+        """
+        attempts = 0
+        while True:
+            attempts += 1
+            try:
+                return True, call(), attempts
+            except Exception as error:  # noqa: BLE001 — policy-routed
+                if ((deadline is not None and deadline.expired())
+                        or not self.should_retry(error, attempts)):
+                    return False, error, attempts
+                delay = self.delay(index, attempts)
+                if emit is not None:
+                    emit("retry", delay, label=label, attempt=attempts,
+                         error=repr(error), **meta)
+                if delay > 0.0:
+                    time.sleep(delay)
 
     def delay(self, task_index: int, attempt: int) -> float:
         """Backoff before retry number *attempt* (1-based) of one task.
@@ -382,6 +418,42 @@ def fingerprint(*parts, digest_size: int = 16) -> str:
 
 
 # ---------------------------------------------------------------------
+# Durable small-file writes
+# ---------------------------------------------------------------------
+
+def _fsynced_temp(target: str, data: bytes) -> str:
+    """Write *data* to a fresh, fsynced temp file beside *target* and
+    return its path; the temp file is removed if the write fails."""
+    fd, tmp = tempfile.mkstemp(
+        prefix=f".{os.path.basename(target)}.", suffix=".tmp",
+        dir=os.path.dirname(target) or ".",
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+    return tmp
+
+
+def atomic_write(target: str, data: bytes) -> None:
+    """Replace *target* with *data* durably: fsynced temp file, then
+    ``os.replace``.  A reader sees the old file or the new one, never a
+    torn one, and a failed write leaves no temp file behind."""
+    tmp = _fsynced_temp(target, data)
+    try:
+        os.replace(tmp, target)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+# ---------------------------------------------------------------------
 # CheckpointStore
 # ---------------------------------------------------------------------
 
@@ -496,23 +568,9 @@ class CheckpointStore:
         """Persist *value* under *key* atomically; returns the path."""
         encoded = json.dumps(
             {"key": key, "value": _encode(value, self.allow_pickle)}
-        )
+        ).encode()
         target = self._file(key)
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".{key}.", suffix=".tmp", dir=self.path
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(encoded)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, target)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(target, encoded)
         metrics = instrument.metrics_registry()
         metrics.increment("checkpoint.puts")
         metrics.observe("checkpoint.put_bytes", len(encoded))
@@ -594,12 +652,18 @@ class LeaseFile:
       lease.
     - **Renew** (the heartbeat) re-reads the lease first and refuses to
       renew when the owner token is no longer ours, then replaces the
-      record via ``mkstemp`` + ``os.replace``.
+      record with :func:`atomic_write`.
     - **Steal** takes over a lease whose heartbeat is older than *ttl*
-      (the owner is presumed dead).  The steal renames the stale lease
-      to a stealer-unique name: of any number of concurrent stealers,
-      exactly one rename succeeds, so a stale lease has exactly one
-      inheritor.
+      (the owner is presumed dead).  The stealer claims the stale
+      *version* it read, not the path: it exclusively creates a token
+      file named by a hash of the stale record's bytes, and only then
+      replaces the lease with its own record.  Of any number of
+      stealers that read the same stale record, only the first to
+      create its token proceeds, so a stale lease has exactly one
+      inheritor — even when a slow stealer that read the dead owner's
+      record reaches its claim after another stealer has taken over.
+      Tokens stay beside the lease until its directory is removed;
+      deleting one would reopen the race for that version.
 
     Leases bound *liveness*, not correctness: the commit layer above
     (:class:`CheckpointStore`) is idempotent, so even the unavoidable
@@ -628,14 +692,18 @@ class LeaseFile:
             "heartbeat_at": now,
         }
 
-    def _write_tmp(self, record: dict) -> str:
-        directory = os.path.dirname(self.path) or "."
-        fd, tmp = tempfile.mkstemp(prefix=".lease.", dir=directory)
-        with os.fdopen(fd, "w") as fh:
-            json.dump(record, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        return tmp
+    def _load(self) -> Tuple[Optional[bytes], Optional[dict]]:
+        """The lease file's bytes (``None`` when absent or unreadable)
+        and the record they parse to (``None`` when corrupt)."""
+        try:
+            with open(self.path, "rb") as fh:
+                raw = fh.read()
+        except OSError:
+            return None, None
+        try:
+            return raw, json.loads(raw)
+        except ValueError:
+            return raw, None
 
     def read(self) -> Optional[dict]:
         """The current owner record, or ``None`` when absent/corrupt.
@@ -644,11 +712,7 @@ class LeaseFile:
         atomic), so an unreadable lease is treated like a crashed
         writer's: eligible for steal.
         """
-        try:
-            with open(self.path, "r") as fh:
-                return json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError, OSError):
-            return None
+        return self._load()[1]
 
     def is_stale(self, record: Optional[dict] = None) -> bool:
         """Whether the lease exists but its heartbeat has expired.
@@ -684,7 +748,7 @@ class LeaseFile:
     # ------------------------------------------------------------------
     def acquire(self) -> bool:
         """Claim an unclaimed lease; False when someone already holds it."""
-        tmp = self._write_tmp(self._record())
+        tmp = _fsynced_temp(self.path, json.dumps(self._record()).encode())
         try:
             os.link(tmp, self.path)
         except FileExistsError:
@@ -693,20 +757,15 @@ class LeaseFile:
             # filesystems without hard links: fall back to exclusive
             # create + replace (claim flag first, content right after)
             try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                os.close(
+                    os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                )
             except FileExistsError:
                 return False
-            os.close(fd)
             os.replace(tmp, self.path)
-            tmp = None
-            instrument.metrics_registry().increment("lease.acquired")
-            return True
         finally:
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+            with suppress(OSError):
+                os.unlink(tmp)
         instrument.metrics_registry().increment("lease.acquired")
         return True
 
@@ -718,39 +777,31 @@ class LeaseFile:
             instrument.metrics_registry().increment("lease.lost")
             return False
         fresh = self._record(acquired_at=record.get("acquired_at"))
-        tmp = self._write_tmp(fresh)
         try:
-            os.replace(tmp, self.path)
+            atomic_write(self.path, json.dumps(fresh).encode())
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return False
         instrument.metrics_registry().increment("lease.renewals")
         return True
 
     def steal(self) -> bool:
-        """Take over a stale lease; False when it is fresh, absent, or a
-        concurrent stealer won the race."""
-        record = self.read()
-        if record is None and not os.path.exists(self.path):
+        """Take over a stale lease; False when it is fresh, absent, or
+        another stealer already claimed the stale record we read."""
+        raw, record = self._load()
+        if raw is None or (record is not None and not self.is_stale(record)):
             return False
-        if record is not None and not self.is_stale(record):
-            return False
-        # exactly one concurrent stealer's rename of the stale lease
-        # succeeds; the winner then acquires a fresh lease of its own
-        grave = f"{self.path}.stale.{self.owner.replace(os.sep, '_')}"
+        digest = blake2b(raw, digest_size=16).hexdigest()
+        token = f"{self.path}.{digest}.steal"
         try:
-            os.rename(self.path, grave)
-        except OSError:
+            os.close(os.open(token, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
             return False
         try:
-            os.unlink(grave)
-        except OSError:
-            pass
-        if not self.acquire():
-            return False
+            atomic_write(self.path, json.dumps(self._record()).encode())
+        except BaseException:
+            # nothing was replaced: hand the stale version back
+            os.unlink(token)
+            raise
         instrument.metrics_registry().increment("lease.steals")
         return True
 

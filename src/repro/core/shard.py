@@ -19,7 +19,7 @@ The protocol is four directories under one run directory:
   run maps onto the identical shards.
 - ``leases/shard-NNNNN.lease`` — mutual exclusion via
   :class:`~repro.core.resilience.LeaseFile`: atomic acquisition,
-  heartbeat renewal on a background thread, and rename-based takeover
+  heartbeat renewal on a background thread, and single-winner takeover
   of stale leases, so a SIGKILLed worker's shard is inherited by
   exactly one survivor.
 - ``results/<task-key>.json`` — one atomic
@@ -33,7 +33,7 @@ The protocol is four directories under one run directory:
   accounting, written after the shard's last commit.
 
 The driver (:class:`ShardedBackend`) plans the run, optionally spawns
-local workers, waits for completion (draining any orphaned shards
+local workers, waits for completion (finishing any orphaned shards
 in-process if every worker dies), and merges results by task index —
 so a grid, conformance matrix, or closure campaign run sharded is
 bitwise-identical to the serial path and resumable after any worker
@@ -50,6 +50,8 @@ exactly like the in-process backends.
 
 from __future__ import annotations
 
+import functools
+import json
 import multiprocessing
 import os
 import pickle
@@ -61,24 +63,22 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import instrument
-from .exceptions import (
-    DeadlineExceededError,
-    ShardError,
-    TaskTimeoutError,
-    WorkerError,
-)
-from .instrument import EventLog
+from .exceptions import DeadlineExceededError, ShardError
 from .parallel import (
     ExecutionBackend,
     _call_task,
-    _format_traceback,
+    _task_failure,
     _TaskOutcome,
-    get_backend,
-    register_backend,
     spawn_seeds,
 )
-from .resilience import CheckpointStore, Deadline, LeaseFile, RetryPolicy
-from .resilience import fingerprint
+from .resilience import (
+    CheckpointStore,
+    Deadline,
+    LeaseFile,
+    RetryPolicy,
+    atomic_write,
+    fingerprint,
+)
 
 __all__ = [
     "SHARD_WORKER_ENV",
@@ -157,32 +157,11 @@ def partition_tasks(keys: Sequence[str],
 # Atomic small-file helpers
 # ---------------------------------------------------------------------
 
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".tmp.", dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def _atomic_write_json(path: str, document: dict) -> None:
-    import json
-
-    _atomic_write_bytes(path, json.dumps(document, sort_keys=True).encode())
+    atomic_write(path, json.dumps(document, sort_keys=True).encode())
 
 
 def _read_json(path: str) -> Optional[dict]:
-    import json
-
     try:
         with open(path, "r") as fh:
             return json.load(fh)
@@ -363,17 +342,16 @@ class ShardRecord:
 
 def create_run(root, fn: Callable, payloads: Sequence, *, seed=None,
                n_shards: int = 8, collect: bool = False,
-               retry: Optional[RetryPolicy] = None, retries: int = 1,
-               timeout: Optional[float] = None, deadline=None,
+               retry: Optional[RetryPolicy] = None, deadline=None,
                lease_ttl: float = DEFAULT_LEASE_TTL,
-               heartbeat_interval: Optional[float] = None,
-               worker_backend: Optional[str] = None) -> ShardRun:
+               heartbeat_interval: Optional[float] = None) -> ShardRun:
     """Plan a sharded run under ``<root>/<run_id>``.
 
     Idempotent: replanning the identical task list lands on the
     identical run directory, reuses any committed results, and never
     rewrites a shard file out from under a worker — which is what makes
-    a SIGKILLed *driver* resumable too.
+    a SIGKILLed *driver* resumable too.  Workers run every task under
+    *retry* (default: one immediate resubmission).
     """
     payloads = list(payloads)
     n = len(payloads)
@@ -396,7 +374,7 @@ def create_run(root, fn: Callable, payloads: Sequence, *, seed=None,
         os.makedirs(os.path.join(run_dir, sub), exist_ok=True)
     shards = partition_tasks(keys, n_shards)
     for shard_id, indices in shards.items():
-        _atomic_write_bytes(
+        atomic_write(
             os.path.join(run_dir, "shards", f"shard-{shard_id:05d}.pkl"),
             pickle.dumps({
                 "shard": shard_id,
@@ -408,21 +386,16 @@ def create_run(root, fn: Callable, payloads: Sequence, *, seed=None,
         )
     deadline = Deadline.resolve(deadline)
     config = {
-        "retry": retry,
-        "retries": int(retries),
-        "timeout": timeout,
+        "retry": retry or RetryPolicy.from_retries(1),
         "deadline_wall": (
             time.time() + deadline.remaining()
             if deadline is not None else None
         ),
         "lease_ttl": float(lease_ttl),
         "heartbeat_interval": heartbeat_interval,
-        "worker_backend": worker_backend,
         "collect": bool(collect),
     }
-    _atomic_write_bytes(
-        os.path.join(run_dir, CONFIG_NAME), pickle.dumps(config)
-    )
+    atomic_write(os.path.join(run_dir, CONFIG_NAME), pickle.dumps(config))
     # the manifest lands last: a directory with run.json is complete
     _atomic_write_json(manifest_path, {
         "version": 1,
@@ -442,19 +415,6 @@ def create_run(root, fn: Callable, payloads: Sequence, *, seed=None,
 # ---------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------
-
-class _SeededTask:
-    """Picklable adapter binding a task's seed for an inner backend."""
-
-    def __init__(self, fn, seed):
-        self.fn = fn
-        self.seed = seed
-
-    def __call__(self, payload):
-        if self.seed is None:
-            return self.fn(payload)
-        return self.fn(payload, seed=self.seed)
-
 
 class _Heartbeat(threading.Thread):
     """Renews a lease in the background; flags when ownership is lost."""
@@ -476,72 +436,6 @@ class _Heartbeat(threading.Thread):
     def stop(self):
         self._halt.set()
         self.join(timeout=5.0)
-
-
-def _run_task(fn, payload, seed, policy: RetryPolicy, index: int,
-              collect: bool, deadline: Optional[Deadline],
-              timeout: Optional[float],
-              worker_backend: Optional[str]):
-    """Execute one task with the retry/timeout/deadline machinery.
-
-    Returns ``(value_or_outcome, attempts)``; raises
-    :class:`WorkerError` (with the *global* task index) once the retry
-    budget is exhausted.
-    """
-    if worker_backend is not None:
-        # delegate retry/timeout enforcement to an inner in-process
-        # backend; re-key its task-0 provenance onto the global index
-        inner = get_backend(
-            worker_backend, n_workers=1, retry=policy, timeout=timeout,
-            deadline=deadline,
-        )
-        try:
-            if collect:
-                local = EventLog()
-                with instrument.recording(local):
-                    value = inner.map(_SeededTask(fn, seed), [payload])[0]
-                spans = local.spans()
-                for record in spans:
-                    record.meta["task_index"] = index
-                    record.meta["backend"] = "sharded"
-                return _TaskOutcome(value, spans, os.getpid()), 1
-            return inner.map(_SeededTask(fn, seed), [payload])[0], 1
-        except TaskTimeoutError as error:
-            error.task_index = index
-            raise
-        except WorkerError as error:
-            raise WorkerError(
-                f"task {index} failed on the sharded backend after "
-                f"{error.attempts} attempt(s): {error.args[0]}",
-                task_index=index, attempts=error.attempts,
-                traceback_str=error.traceback_str,
-            ) from error
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            return _call_task(fn, payload, seed, collect), attempt
-        except Exception as error:  # noqa: BLE001 — policy-routed
-            if deadline is not None and deadline.expired():
-                raise DeadlineExceededError(
-                    f"deadline expired while task {index} was retrying "
-                    f"on the sharded backend",
-                    pending=[index],
-                ) from error
-            if not policy.should_retry(error, attempt):
-                raise WorkerError(
-                    f"task {index} failed on the sharded backend after "
-                    f"{attempt} attempt(s): {error!r}",
-                    task_index=index, attempts=attempt,
-                    traceback_str=_format_traceback(error),
-                ) from error
-            delay = policy.delay(index, attempt)
-            instrument.emit(
-                "retry", delay, label=f"task[{index}]", task=index,
-                attempt=attempt, backend="sharded", error=repr(error),
-            )
-            if delay > 0.0:
-                time.sleep(delay)
 
 
 def _install_stop_handlers(stop_event: threading.Event):
@@ -616,26 +510,26 @@ def _execute_shard(run: ShardRun, shard_id: int, lease: LeaseFile,
                 metrics.increment("shard.resumed_tasks")
                 continue
             record = ShardRecord(worker=lease.owner)
-            try:
-                value, attempts = _run_task(
-                    fn, payload, seed, policy, index, collect, deadline,
-                    config.get("timeout"), config.get("worker_backend"),
-                )
-                record.attempts = attempts
-                if isinstance(value, _TaskOutcome):
-                    record.value = value.value
-                    record.spans = value.spans
-                    record.pid = value.pid
-                else:
-                    record.value = value
-            except DeadlineExceededError:
+            ok, value, record.attempts = policy.attempt(
+                functools.partial(_call_task, fn, payload, seed, collect),
+                index, deadline=deadline, emit=instrument.emit,
+                label=f"task[{index}]", task=index, backend="sharded",
+            )
+            if not ok and deadline is not None and deadline.expired():
                 return False
-            except Exception as error:  # noqa: BLE001 — merged later
-                record.error = error
-                record.attempts = getattr(error, "attempts", 1)
+            if not ok:
+                record.error = _task_failure(
+                    value, index, record.attempts, "sharded"
+                )
                 marker["failed"] += 1
                 stats["failed"] += 1
                 metrics.increment("shard.failed_tasks")
+            elif isinstance(value, _TaskOutcome):
+                record.value = value.value
+                record.spans = value.spans
+                record.pid = value.pid
+            else:
+                record.value = value
             duplicate = key in store
             store.put(key, record)
             if duplicate:
@@ -707,6 +601,8 @@ def run_worker(run_dir, worker_id: Optional[str] = None, *, wait: bool = True,
         remaining = config["deadline_wall"] - time.time()
         deadline = Deadline(max(remaining, 1e-3))
     deadline = Deadline.resolve(deadline)
+    # run directories planned before the config held one resolved
+    # policy store ``retry=None`` next to a ``retries`` count
     policy = config.get("retry") or RetryPolicy.from_retries(
         int(config.get("retries", 1))
     )
@@ -796,8 +692,7 @@ def _worker_entry(run_dir: str, worker_id: str) -> None:
     )
 
 
-def spawn_local_workers(run_dir, n_workers: int,
-                        context: Optional[str] = None) -> list:
+def spawn_local_workers(run_dir, n_workers: int) -> list:
     """Launch *n_workers* local worker processes attached to *run_dir*.
 
     Uses the ``fork`` start method where available (workers inherit
@@ -805,10 +700,10 @@ def spawn_local_workers(run_dir, n_workers: int,
     resolve), falling back to ``spawn``.  Returns the started
     ``multiprocessing.Process`` handles; callers own join/terminate.
     """
-    if context is None:
-        methods = multiprocessing.get_all_start_methods()
-        context = "fork" if "fork" in methods else methods[0]
-    ctx = multiprocessing.get_context(context)
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context(
+        "fork" if "fork" in methods else methods[0]
+    )
     run_dir = os.fspath(run_dir)
     processes = []
     for i in range(int(n_workers)):
@@ -843,6 +738,13 @@ class ShardedBackend(ExecutionBackend):
     exactly-once commits, or resumes when re-submitted against the same
     ``root``.
 
+    Like :class:`~repro.core.parallel.SerialBackend`, this backend does
+    not enforce a per-task ``timeout``: a worker runs each task to
+    completion.  The run-level ``deadline`` holds — ``map`` raises
+    :class:`DeadlineExceededError` once it expires, and never returns
+    while a worker it spawned is alive (a worker that ignores SIGTERM
+    for the grace period is SIGKILLed, losing only its in-flight task).
+
     Parameters (beyond the shared :class:`ExecutionBackend` ones)
     ----------
     n_shards:
@@ -852,18 +754,14 @@ class ShardedBackend(ExecutionBackend):
         Parent directory for run directories — point workers on other
         machines at the same shared-filesystem path.  Default: a
         per-user directory under the system temp dir.
-    worker_backend:
-        Optional in-process backend name each worker executes its tasks
-        through ("thread"/"process" enforce per-task ``timeout``;
-        default ``None`` runs tasks directly, like the serial backend).
     lease_ttl / heartbeat_interval:
         Staleness threshold and renewal cadence for shard leases.
     spawn:
-        Launch local worker processes (default).  ``spawn=False`` plans
-        the run and waits for external workers (``repro workers``).
-    drain:
-        Execute leftover shards in the driver process if every worker
-        exits with work pending (default True) — the run then completes
+        Launch local worker processes (default).  With ``spawn=False``
+        the driver runs no workers of its own: it executes pending
+        shards in-process, alongside any external ``repro workers``.
+        Either way, shards left pending when every local worker has
+        exited are finished in the driver process, so the run completes
         even if all workers are killed.
     cleanup:
         Remove the run directory after a fully successful merge.
@@ -876,23 +774,20 @@ class ShardedBackend(ExecutionBackend):
                  retry: Optional[RetryPolicy] = None,
                  timeout: Optional[float] = None, deadline=None, *,
                  n_shards: Optional[int] = None, root=None,
-                 worker_backend: Optional[str] = None,
                  lease_ttl: float = DEFAULT_LEASE_TTL,
                  heartbeat_interval: Optional[float] = None,
                  poll: float = 0.02, spawn: bool = True,
-                 drain: bool = True, cleanup: Optional[bool] = None):
+                 cleanup: Optional[bool] = None):
         super().__init__(n_workers=n_workers, retries=retries, retry=retry,
                          timeout=timeout, deadline=deadline)
         if n_shards is not None and n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         self.n_shards = n_shards
         self.root = None if root is None else os.fspath(root)
-        self.worker_backend = worker_backend
         self.lease_ttl = float(lease_ttl)
         self.heartbeat_interval = heartbeat_interval
         self.poll = float(poll)
         self.spawn = bool(spawn)
-        self.drain = bool(drain)
         self.cleanup = cleanup
 
     def resolved_workers(self) -> int:
@@ -925,10 +820,9 @@ class ShardedBackend(ExecutionBackend):
         run = create_run(
             root, fn, payloads, seed=seed,
             n_shards=self.resolved_shards(n), collect=collect,
-            retry=self.retry, retries=self.retries, timeout=self.timeout,
-            deadline=deadline, lease_ttl=self.lease_ttl,
+            retry=self._policy(), deadline=deadline,
+            lease_ttl=self.lease_ttl,
             heartbeat_interval=self.heartbeat_interval,
-            worker_backend=self.worker_backend,
         )
         metrics.increment("shard.runs")
         metrics.increment("shard.tasks", n)
@@ -953,6 +847,12 @@ class ShardedBackend(ExecutionBackend):
                     process.terminate()
             for process in workers:
                 process.join(timeout=5.0)
+                if process.is_alive():
+                    # SIGTERM only stops a worker after its current
+                    # task; commits are idempotent, so a kill loses
+                    # nothing but that task
+                    process.kill()
+                    process.join()
         instrument.emit(
             "shard.wait", time.perf_counter() - started,
             label=f"run[{run.run_id[:8]}]", backend=self.name,
@@ -990,7 +890,8 @@ class ShardedBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def _wait(self, run: ShardRun, workers: list, deadline,
               metrics) -> None:
-        """Poll for completion; drain in-process if every worker dies."""
+        """Poll for completion; once no local worker is alive, finish
+        the pending shards in the driver process."""
         counted: set = set()
         drained = False
         while not run.all_done():
@@ -1001,40 +902,28 @@ class ShardedBackend(ExecutionBackend):
                     f"{self.name} backend",
                     pending=run.pending_ids(),
                 )
-            alive = [w for w in workers if w.is_alive()]
             for process in workers:
                 if (not process.is_alive()
                         and process.exitcode not in (0, None)
                         and id(process) not in counted):
                     counted.add(id(process))
                     metrics.increment("shard.worker_deaths")
-            if not alive:
-                if not self.drain:
-                    if workers:
-                        raise ShardError(
-                            f"every local worker exited with "
-                            f"{len(run.pending_ids())} shard(s) pending "
-                            f"and drain=False"
-                        )
-                    # spawn=False and no external worker has finished
-                    # the run yet: keep waiting
-                    time.sleep(self.poll)
-                    continue
-                if drained:
-                    raise ShardError(
-                        f"driver drain finished but {run.pending_ids()} "
-                        f"shard(s) are still pending"
-                    )
-                drained = True
-                metrics.increment("shard.drains")
-                run_worker(
-                    run.run_dir, worker_id=f"driver-{os.getpid()}",
-                    wait=True, poll=self.poll, deadline=deadline,
-                    lease_ttl=self.lease_ttl,
-                    heartbeat_interval=self.heartbeat_interval,
-                )
+            if any(process.is_alive() for process in workers):
+                time.sleep(self.poll)
                 continue
-            time.sleep(self.poll)
+            if drained:
+                raise ShardError(
+                    f"driver finished its pass but {run.pending_ids()} "
+                    f"shard(s) are still pending"
+                )
+            drained = True
+            metrics.increment("shard.drains")
+            run_worker(
+                run.run_dir, worker_id=f"driver-{os.getpid()}",
+                wait=True, poll=self.poll, deadline=deadline,
+                lease_ttl=self.lease_ttl,
+                heartbeat_interval=self.heartbeat_interval,
+            )
 
     def __repr__(self):
         return (
@@ -1043,5 +932,3 @@ class ShardedBackend(ExecutionBackend):
             f"retries={self.retries})"
         )
 
-
-register_backend("sharded", ShardedBackend, aliases=("shards",))

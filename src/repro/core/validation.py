@@ -20,9 +20,7 @@ runs through one parallel, instrumented runtime:
 - nested parameters (``svc__C``, ``svc__kernel__gamma``) address
   pipeline steps and kernel hyper-parameters directly from a grid.
 
-:class:`GridSearchCV` and :func:`cross_validate` are the primary entry
-points; the historical :func:`grid_search` / :func:`cross_val_score`
-functions remain as thin delegating shims.
+:class:`GridSearchCV` and :func:`cross_validate` are the entry points.
 """
 
 from __future__ import annotations
@@ -208,13 +206,13 @@ def _fit_and_score(payload: dict) -> dict:
       ``error_score``, or falls back to a substitute estimator.  The
       failure text is kept under ``"error"`` either way.
 
-    With ``"raise"`` (or no policy) a failure propagates and the
-    *backend's* retry loop resubmits the task.  With ``"skip"`` /
-    ``"fallback"`` the task never raises, so the retry budget is spent
-    *in-task* (``payload["retry"]`` + ``payload["task_index"]``, same
-    deterministic delays) before the policy records the cell as failed
-    — a transient blip is retried, only a persistent failure is
-    skipped or substituted.
+    With ``"raise"`` (or no policy) the task runs once and a failure
+    propagates, so the *backend's* retry pass resubmits it.  With
+    ``"skip"`` / ``"fallback"`` the task never raises, so the retry
+    budget is spent *in-task* (``payload["retry"].attempt`` under
+    ``payload["task_index"]``, same deterministic delays) before the
+    policy records the cell as failed — a transient blip is retried,
+    only a persistent failure is skipped or substituted.
     """
     store = payload.get("checkpoint")
     key = payload.get("checkpoint_key")
@@ -224,26 +222,17 @@ def _fit_and_score(payload: dict) -> dict:
             cached["checkpoint_hit"] = True
             return cached
     policy: Optional[ErrorPolicy] = payload.get("error_policy")
-    retry = payload.get("retry")
-    task_index = payload.get("task_index", 0)
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            result = _fit_and_score_once(payload, payload["estimator"])
-            break
-        except Exception as error:  # noqa: BLE001 — routed by policy
-            if policy is None or policy.on_error == "raise":
-                raise
-            if retry is not None and retry.should_retry(error, attempt):
-                delay = retry.delay(task_index, attempt)
-                instrument.emit(
-                    "retry", delay, label=f"task[{task_index}]",
-                    task=task_index, attempt=attempt, error=repr(error),
-                )
-                if delay > 0.0:
-                    time.sleep(delay)
-                continue
+    if policy is None or policy.on_error == "raise":
+        result = _fit_and_score_once(payload, payload["estimator"])
+    else:
+        task_index = payload.get("task_index", 0)
+        ok, result, attempts = payload["retry"].attempt(
+            lambda: _fit_and_score_once(payload, payload["estimator"]),
+            task_index, emit=instrument.emit, label=f"task[{task_index}]",
+            task=task_index,
+        )
+        if not ok:
+            error = result
             if policy.on_error == "fallback":
                 # the fallback is fit exactly as configured: candidate
                 # params are not forwarded (their names may not even
@@ -264,9 +253,8 @@ def _fit_and_score(payload: dict) -> dict:
                 if payload.get("return_train_score"):
                     result["train_score"] = policy.error_score
             result["error"] = f"{type(error).__name__}: {error}"
-            break
-    if attempt > 1:
-        result["attempts"] = attempt
+        if attempts > 1:
+            result["attempts"] = attempts
     if store is not None and key is not None:
         store.put(key, result)
         result["checkpoint_hit"] = False
@@ -440,18 +428,6 @@ def cross_validate(
             sum(bool(r.get("checkpoint_hit")) for r in results)
         )
     return out
-
-
-def cross_val_score(estimator, X, y, cv=None, scorer: Callable = None,
-                    backend=None) -> np.ndarray:
-    """Per-fold scores of *estimator* (shim over :func:`cross_validate`).
-
-    The estimator is :func:`~repro.core.base.clone`\\ d for every fold so
-    state never leaks across folds.
-    """
-    return cross_validate(
-        estimator, X, y, cv=cv, scorer=scorer, backend=backend
-    )["test_score"]
 
 
 # ---------------------------------------------------------------------
@@ -724,40 +700,28 @@ class GridSearchCV(Estimator):
         if self.refit:
             # the refit gets the same retry treatment as the search
             # tasks: a transient failure here must not discard the sweep
-            policy = runner._policy()
-            refit_index = len(results)
-            attempt = 0
-            start = time.perf_counter()
-            while True:
-                attempt += 1
+            def fit_winner():
                 winner = clone(self.estimator).set_params(
                     **self.best_params_
                 )
-                try:
-                    if log is not None:
-                        with recording(log):
-                            winner.fit(X, y)
-                    else:
-                        winner.fit(X, y)
-                    break
-                except Exception as error:  # noqa: BLE001 — policy-routed
-                    if not policy.should_retry(error, attempt):
-                        raise
-                    delay = policy.delay(refit_index, attempt)
-                    if log is not None:
-                        log.emit(
-                            "retry", delay, label="refit",
-                            attempt=attempt, error=repr(error),
-                        )
-                    if delay > 0.0:
-                        time.sleep(delay)
+                with recording(log) if log is not None else nullcontext():
+                    winner.fit(X, y)
+                return winner
+
+            start = time.perf_counter()
+            ok, outcome, attempts = runner._policy().attempt(
+                fit_winner, len(results),
+                emit=log.emit if log is not None else None, label="refit",
+            )
+            if not ok:
+                raise outcome
             if log is not None:
                 log.emit(
                     "refit", time.perf_counter() - start,
                     label="best_estimator", n_samples=len(X),
-                    params=dict(self.best_params_), attempts=attempt,
+                    params=dict(self.best_params_), attempts=attempts,
                 )
-            self.best_estimator_ = winner
+            self.best_estimator_ = outcome
         return self
 
     # ------------------------------------------------------------------
@@ -785,34 +749,6 @@ class GridSearchCV(Estimator):
     @property
     def _estimator_kind(self):
         return getattr(self.estimator, "_estimator_kind", "estimator")
-
-
-def grid_search(
-    estimator,
-    param_grid: Dict[str, Sequence],
-    X,
-    y,
-    cv=None,
-    scorer: Callable = None,
-    backend=None,
-):
-    """Exhaustive hyper-parameter search (shim over :class:`GridSearchCV`).
-
-    Returns ``(best_params, best_score, all_results)`` where
-    ``all_results`` is a list of ``(params, mean_score)`` pairs and higher
-    scores are better.
-    """
-    search = GridSearchCV(
-        estimator, param_grid, cv=cv, scorer=scorer, backend=backend,
-        refit=False,
-    ).fit(X, y)
-    results = list(
-        zip(
-            search.cv_results_["params"],
-            [float(m) for m in search.cv_results_["mean_test_score"]],
-        )
-    )
-    return search.best_params_, search.best_score_, results
 
 
 # ---------------------------------------------------------------------

@@ -4,7 +4,6 @@ from .base import (
     Kernel,
     PrecomputedKernel,
     center_gram,
-    gram_matrix,
     is_positive_semidefinite,
     normalize_gram,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "center_gram",
     "default_engine",
     "explicit_degree2_map",
-    "gram_matrix",
     "is_positive_semidefinite",
     "median_heuristic_gamma",
     "ngram_counts",

@@ -6,8 +6,9 @@ algorithm sees (Fig. 4), so samples need not be vectors at all — layout
 clips and assembly programs are first-class sample types here.
 
 A :class:`Kernel` is any object with ``__call__(x, x') -> float``; the
-:func:`gram_matrix` helper evaluates it over sample collections, and
-vectorized kernels may override ``matrix``/``cross_matrix`` for speed.
+shared :class:`~repro.kernels.engine.GramEngine` (``default_engine().gram``)
+evaluates it over sample collections, and vectorized kernels may
+override ``matrix``/``cross_matrix`` for speed.
 """
 
 from __future__ import annotations
@@ -151,20 +152,6 @@ class Kernel(ParamsAPI):
         from ..core.resilience import fingerprint
 
         return fingerprint(self)
-
-
-def gram_matrix(kernel: Kernel, samples: Sequence, engine=None) -> np.ndarray:
-    """Evaluate *kernel* over all pairs of *samples*.
-
-    Thin shim over the shared :class:`~repro.kernels.engine.GramEngine`
-    (blockwise evaluation + caching); pass *engine* to use a private
-    one.  The historical call signature is unchanged.
-    """
-    if engine is None:
-        from .engine import default_engine
-
-        engine = default_engine()
-    return engine.gram(kernel, samples)
 
 
 def center_gram(K: np.ndarray) -> np.ndarray:

@@ -21,13 +21,11 @@ waive a check.
 from . import chaos, checks, datasets, registry, runner
 from .chaos import (
     ChaosError,
-    CrashingEstimator,
     CrashingScorer,
     CrashingTask,
     FailingScorer,
     FlakyEstimator,
     FlakyTask,
-    HangingEstimator,
     HangingTask,
     ShardKillTask,
     SlowEstimator,
@@ -59,14 +57,12 @@ __all__ = [
     "ALL_CHECKS",
     "ChaosError",
     "ConformanceFailure",
-    "CrashingEstimator",
     "CrashingScorer",
     "CrashingTask",
     "FailingScorer",
     "EstimatorSpec",
     "FlakyEstimator",
     "FlakyTask",
-    "HangingEstimator",
     "HangingTask",
     "MAX_WAIVERS",
     "ShardKillTask",

@@ -5,10 +5,10 @@ The paper's case-study campaigns fail in four canonical ways — a task
 errors transiently (license blip), a worker dies outright (OOM kill), a
 task wedges forever (solver livelock), or it merely crawls.  This
 module packages each as an injectable *task* (a picklable callable for
-``ExecutionBackend.map``) and as an *estimator wrapper* (drop-in for
-``GridSearchCV``/``cross_validate``), so every retry/timeout/error/
-checkpoint policy can be exercised deterministically on all three
-backends.
+``ExecutionBackend.map``), and the flaky and slow cases also as
+*estimator wrappers* (drop-in for ``GridSearchCV``/``cross_validate``),
+so every retry/timeout/error/checkpoint policy can be exercised
+deterministically on all three backends.
 
 Failure counting has to survive the process boundary, so injectors
 count attempts with exclusive-create marker files in an explicit
@@ -34,7 +34,7 @@ import numpy as np
 
 from ..core.base import Estimator, check_fitted, clone
 from ..core.exceptions import ReproError
-from ..core.resilience import fingerprint
+from ..core.resilience import atomic_write, fingerprint
 
 __all__ = [
     "ChaosError",
@@ -44,8 +44,6 @@ __all__ = [
     "SlowTask",
     "ShardKillTask",
     "FlakyEstimator",
-    "CrashingEstimator",
-    "HangingEstimator",
     "SlowEstimator",
     "SlowScorer",
     "FailingScorer",
@@ -216,7 +214,7 @@ class ShardKillTask:
 
     The canonical victim for the sharded backend's takeover machinery:
     the worker dies after committing some of its shard's results, its
-    lease goes stale, a surviving worker (or the driver drain) steals
+    lease goes stale, a surviving worker (or the driver itself) steals
     the lease and resumes the shard from the committed prefix — and the
     merged results must still be bitwise-identical to a serial run.
 
@@ -225,7 +223,8 @@ class ShardKillTask:
     the takeover's re-execution of the same payload succeeds.  Outside a
     shard worker (or any child process) the kill is downgraded to a
     :class:`ChaosError` when ``safe_in_driver`` is left on, so a serial
-    or drain run never takes the driver down.
+    run, or shards the driver finishes in-process, never take the
+    driver down.
     """
 
     def __init__(self, kill_times: int = 1, state_dir: str = None,
@@ -276,7 +275,6 @@ def expire_lease(lease_path: str) -> Optional[str]:
     owner, or ``None`` when no lease exists.
     """
     import json
-    import tempfile
 
     try:
         with open(lease_path, "r") as fh:
@@ -285,12 +283,7 @@ def expire_lease(lease_path: str) -> Optional[str]:
         return None
     record["heartbeat_at"] = 0.0
     record["acquired_at"] = 0.0
-    fd, tmp = tempfile.mkstemp(
-        prefix=".expire.", dir=os.path.dirname(lease_path) or "."
-    )
-    with os.fdopen(fd, "w") as fh:
-        json.dump(record, fh)
-    os.replace(tmp, lease_path)
+    atomic_write(lease_path, json.dumps(record).encode())
     return record.get("owner")
 
 
@@ -298,7 +291,7 @@ def contend_steal(lease_path: str, owners, ttl: float = 0.01) -> list:
     """Race one thread per owner to steal the same stale lease.
 
     All contenders release from a barrier simultaneously; the lease
-    protocol's rename-based takeover guarantees *exactly one* wins.
+    protocol's version-claiming takeover guarantees *exactly one* wins.
     Returns the list of owners whose ``steal()`` succeeded — the
     duplicate-claim-race assertion is ``len(winners) == 1``.
     """
@@ -396,59 +389,6 @@ class FlakyEstimator(_ChaosWrapper):
                 f"injected flaky fit (attempt {attempt}/"
                 f"{int(self.fail_times)})"
             )
-        return self._fit_base(X, y)
-
-
-class CrashingEstimator(_ChaosWrapper):
-    """Kills the worker process during ``fit`` for the first
-    *crash_times* attempts per cell (see :class:`CrashingTask` for the
-    driver-safety downgrade)."""
-
-    def __init__(self, base, crash_times: int = 1, state_dir: str = None,
-                 exit_code: int = 17, safe_in_driver: bool = True):
-        self.base = base
-        self.crash_times = crash_times
-        self.state_dir = state_dir
-        self.exit_code = exit_code
-        self.safe_in_driver = safe_in_driver
-
-    def fit(self, X, y=None):
-        if self.state_dir is None:
-            raise ValueError("CrashingEstimator needs an explicit state_dir")
-        key = fingerprint(
-            "crashing-fit", self.base, np.asarray(X), np.asarray(y)
-        )
-        attempt = _record_attempt(self.state_dir, key)
-        if attempt <= int(self.crash_times):
-            import multiprocessing
-
-            in_worker = (
-                multiprocessing.current_process().name != "MainProcess"
-            )
-            if self.safe_in_driver and not in_worker:
-                raise ChaosError(
-                    f"injected crash (attempt {attempt}) downgraded to an "
-                    f"exception outside a worker process"
-                )
-            os._exit(int(self.exit_code))
-        return self._fit_base(X, y)
-
-
-class HangingEstimator(_ChaosWrapper):
-    """Wedges in ``fit`` for *seconds* before fitting ``base`` — the
-    injector behind the timeout acceptance tests."""
-
-    def __init__(self, base, seconds: float = 5.0, stop_path: str = None,
-                 poll: float = 0.05):
-        self.base = base
-        self.seconds = seconds
-        self.stop_path = stop_path
-        self.poll = poll
-
-    def fit(self, X, y=None):
-        _interruptible_sleep(
-            float(self.seconds), self.stop_path, float(self.poll)
-        )
         return self._fit_base(X, y)
 
 

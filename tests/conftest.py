@@ -1,7 +1,26 @@
 """Shared fixtures for the test suite."""
 
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
+
+
+@pytest.fixture
+def no_leftover_processes():
+    """Fail the test if a ``multiprocessing`` child is still alive after
+    up to 10 s of joining; leftovers are killed so later tests start
+    clean."""
+    yield
+    give_up = time.monotonic() + 10.0
+    for child in multiprocessing.active_children():
+        child.join(timeout=max(0.0, give_up - time.monotonic()))
+    leftovers = multiprocessing.active_children()
+    for child in leftovers:
+        child.kill()
+        child.join()
+    assert not leftovers, f"processes outlived the test: {leftovers}"
 
 
 @pytest.fixture

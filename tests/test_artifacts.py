@@ -7,7 +7,6 @@ Covers the satellite contracts of the ``repro`` CLI redesign:
 - ``diff.json`` structure on a synthetic baseline/candidate pair;
 - the gate pass/fail/exit-code matrix for every rule kind;
 - CLI smoke via ``python -m repro.artifacts.cli``;
-- the ``record_result`` deprecation shim;
 - the fallback TOML parser used when :mod:`tomllib` is absent.
 """
 
@@ -458,26 +457,3 @@ class TestCLI:
                          cwd=tmp_path)
         assert proc.returncode == 2
         assert "unknown bench" in proc.stderr
-
-
-# --------------------------------------------------- conftest fixtures
-class TestBenchConftest:
-    def test_record_result_shim_warns_and_routes_to_sink(self, tmp_path):
-        import importlib.util
-        import pathlib
-
-        conftest_path = (
-            pathlib.Path(__file__).parent.parent
-            / "benchmarks" / "conftest.py"
-        )
-        spec = importlib.util.spec_from_file_location(
-            "_bench_conftest_under_test", conftest_path
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-
-        sink = MetricSink(bench="shim", echo=False)
-        record = module.record_result.__wrapped__(sink)
-        with pytest.warns(DeprecationWarning, match="sink"):
-            record("legacy_table", "legacy body")
-        assert sink.texts["legacy_table"] == "legacy body"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import NotFittedError, Pipeline, StandardScaler
-from repro.core.validation import cross_val_score
+from repro.core.validation import cross_validate
 from repro.learn import SVC, LogisticRegression, SelectKBest
 from repro.kernels import RBFKernel
 from repro.transform import PCA
@@ -193,7 +193,7 @@ class TestPipelineInModelSelection:
                 ("clf", LogisticRegression(max_iter=300)),
             ]
         )
-        scores = cross_val_score(pipeline, X, y)
+        scores = cross_validate(pipeline, X, y)["test_score"]
         assert scores.mean() > 0.9
 
     def test_prototype_steps_never_mutated(self, blobs):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    GridSearchCV,
     KFold,
     StratifiedKFold,
     complexity_curve,
-    cross_val_score,
-    grid_search,
+    cross_validate,
     train_test_split,
 )
 from repro.learn import (
@@ -83,20 +83,20 @@ class TestStratifiedKFold:
 class TestCrossValScore:
     def test_scores_high_on_separable_data(self, blobs):
         X, y = blobs
-        scores = cross_val_score(
+        scores = cross_validate(
             KNeighborsClassifier(n_neighbors=3), X, y, cv=KFold(4, shuffle=True, random_state=0)
-        )
+        )["test_score"]
         assert len(scores) == 4
         assert scores.mean() > 0.9
 
     def test_custom_scorer(self, linear_regression_data):
         X, y = linear_regression_data
-        scores = cross_val_score(
+        scores = cross_validate(
             RidgeRegressor(alpha=1e-6),
             X,
             y,
             scorer=lambda t, p: -float(np.mean(np.abs(t - p))),
-        )
+        )["test_score"]
         assert np.all(scores <= 0)
         assert scores.mean() > -0.1
 
@@ -141,13 +141,12 @@ class TestComplexityCurve:
 class TestGridSearch:
     def test_finds_reasonable_k(self, blobs):
         X, y = blobs
-        best_params, best_score, results = grid_search(
+        search = GridSearchCV(
             KNeighborsClassifier(),
             {"n_neighbors": [1, 3, 5], "weights": ["uniform", "distance"]},
-            X,
-            y,
             cv=KFold(4, shuffle=True, random_state=0),
-        )
-        assert best_score > 0.9
-        assert len(results) == 6
-        assert best_params["n_neighbors"] in (1, 3, 5)
+            refit=False,
+        ).fit(X, y)
+        assert search.best_score_ > 0.9
+        assert len(search.cv_results_["params"]) == 6
+        assert search.best_params_["n_neighbors"] in (1, 3, 5)

@@ -3,7 +3,7 @@
 Covers the cache contract (bitwise-identical hits, structural
 invalidation, LRU byte budget), the parallel chunked fallback (must
 match serial evaluation exactly), the blockwise assembly, the
-instrumentation counters, and the ``gram_matrix`` shim.
+instrumentation counters, and the process-wide default engine.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from repro.kernels import (
     RBFKernel,
     SpectrumKernel,
     default_engine,
-    gram_matrix,
     set_default_engine,
 )
 
@@ -311,23 +310,17 @@ class TestCounters:
 
 
 class TestDefaultEngineAndShim:
-    def test_gram_matrix_shim_routes_through_default_engine(self, vectors):
+    def test_set_default_engine_routes_gram_calls(self, vectors):
         probe = GramEngine()
         previous = set_default_engine(probe)
         try:
             kernel = RBFKernel(0.5)
-            K = gram_matrix(kernel, vectors)
+            K = default_engine().gram(kernel, vectors)
             np.testing.assert_allclose(K, kernel.matrix(vectors), atol=1e-12)
             assert probe.counters.gram_calls == 1
             assert default_engine() is probe
         finally:
             set_default_engine(previous)
-
-    def test_gram_matrix_accepts_explicit_engine(self, vectors):
-        engine = GramEngine()
-        kernel = RBFKernel(0.5)
-        gram_matrix(kernel, vectors, engine=engine)
-        assert engine.counters.gram_calls == 1
 
     def test_deepcopy_shares_the_engine(self):
         import copy

@@ -1,5 +1,5 @@
 """Tests for the parallel, instrumented model-selection runtime
-(GridSearchCV, cross_validate, and the delegating shims)."""
+(GridSearchCV and cross_validate)."""
 
 import numpy as np
 import pytest
@@ -13,10 +13,9 @@ from repro.core import (
     Pipeline,
     StandardScaler,
     StratifiedKFold,
+    clone,
     complexity_curve,
-    cross_val_score,
     cross_validate,
-    grid_search,
     learning_curve,
 )
 from repro.kernels import RBFKernel
@@ -61,14 +60,17 @@ class TestParameterGrid:
 
 
 class TestCrossValidate:
-    def test_matches_cross_val_score_shim(self, blobs):
+    def test_per_fold_scores_and_timings(self, blobs):
         X, y = blobs
         cv = KFold(4, shuffle=True, random_state=0)
         model = KNeighborsClassifier(n_neighbors=3)
         out = cross_validate(model, X, y, cv=cv)
-        np.testing.assert_array_equal(
-            out["test_score"], cross_val_score(model, X, y, cv=cv)
-        )
+        expected = []
+        for train, test in cv.split(X):
+            fold_model = clone(model)
+            fold_model.fit(X[train], y[train])
+            expected.append(float(fold_model.score(X[test], y[test])))
+        np.testing.assert_array_equal(out["test_score"], expected)
         assert out["fit_seconds"].shape == (4,)
         assert np.all(out["fit_seconds"] >= 0)
 
@@ -226,27 +228,6 @@ class TestGridSearchCV:
         assert search_span.meta["n_candidates"] == 4
         assert search_span.gram is not None
         assert len(log.spans("refit")) == 1
-
-    def test_grid_search_shim_matches_class(self, blobs):
-        X, y = blobs
-        cv = KFold(4, shuffle=True, random_state=0)
-        best_params, best_score, results = grid_search(
-            KNeighborsClassifier(),
-            {"n_neighbors": [1, 3, 5], "weights": ["uniform", "distance"]},
-            X,
-            y,
-            cv=cv,
-        )
-        assert best_score > 0.9
-        assert len(results) == 6
-        search = GridSearchCV(
-            KNeighborsClassifier(),
-            {"n_neighbors": [1, 3, 5], "weights": ["uniform", "distance"]},
-            cv=cv,
-            refit=False,
-        ).fit(X, y)
-        assert best_params == search.best_params_
-        assert best_score == search.best_score_
 
     def test_search_object_cloneable(self):
         from repro.core import clone

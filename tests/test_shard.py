@@ -16,6 +16,7 @@ Three layers, matching the protocol's guarantees:
 import glob
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -37,6 +38,7 @@ from repro.core import (
     get_backend,
 )
 from repro.core.shard import (
+    CONFIG_NAME,
     ShardRun,
     create_run,
     partition_tasks,
@@ -46,9 +48,13 @@ from repro.core.shard import (
 )
 from repro.learn import LogisticRegression
 from repro.testing import run_conformance
+from repro.testing.chaos import FlakyTask, attempt_count
 from repro.verification import run_campaign
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+# every test must end with no shard worker left alive
+pytestmark = pytest.mark.usefixtures("no_leftover_processes")
 
 
 # module-level task functions so worker processes can pickle them
@@ -224,7 +230,7 @@ class TestMapEquivalence:
         assert isinstance(get_backend("shards"), ShardedBackend)
 
     def test_drain_completes_without_workers(self, tmp_path):
-        backend = _sharded(tmp_path, 2, spawn=False, drain=True)
+        backend = _sharded(tmp_path, 2, spawn=False)
         assert backend.map(square, list(range(9))) == \
             [i * i for i in range(9)]
 
@@ -361,6 +367,84 @@ def test_driver_sigkill_then_resume_bitwise(tmp_path):
     assert len(run_dirs) == 1  # same task list -> same run directory
     manifest = json.loads(open(run_dirs[0]).read())
     assert manifest["n_tasks"] == 8
+
+
+_PIPED_DRIVER = """\
+import sys
+
+sys.path.insert(0, {src!r})
+
+from repro.core import DeadlineExceededError, ShardedBackend
+from repro.testing.chaos import SlowTask
+
+seconds, deadline = float(sys.argv[2]), float(sys.argv[3])
+try:
+    results = ShardedBackend(
+        n_workers=1, root=sys.argv[1], deadline=deadline or None,
+    ).map(SlowTask(seconds), [1, 2])
+    print("COMPLETED", results)
+except DeadlineExceededError:
+    print("DEADLINE")
+"""
+
+
+@pytest.mark.parametrize(
+    "seconds, deadline, outcome",
+    [("0.05", "0", "COMPLETED [1, 2]"), ("60.0", "1.0", "DEADLINE")],
+    ids=["completes", "deadline"],
+)
+def test_map_returns_with_no_worker_alive(tmp_path, seconds, deadline,
+                                          outcome):
+    """``map`` never returns while a worker it spawned is alive.
+
+    A forked worker inherits the driver's stdout, so a worker that
+    outlives ``map`` holds the caller's pipe open and the caller never
+    reads EOF — how a benchmark harness reading the driver sees it.  The
+    60 s task outlasts the 30 s wait, so only a worker stopped after the
+    grace period lets EOF arrive in time."""
+    script = tmp_path / "driver.py"
+    script.write_text(_PIPED_DRIVER.format(src=SRC))
+    proc = subprocess.Popen(
+        [sys.executable, str(script), str(tmp_path / "root"), seconds,
+         deadline],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        # take the driver's whole session down, workers included
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a shard worker outlived map() and held its pipe open")
+    assert proc.returncode == 0, err.decode()
+    assert out.decode().strip() == outcome
+
+
+def test_resumes_a_run_planned_with_the_older_config_layout(tmp_path):
+    """A run directory whose config.pkl predates the single resolved
+    ``retry`` entry (``retry=None`` beside ``retries``, ``timeout`` and
+    ``worker_backend``) still resumes: replanning returns it as is and
+    its tasks get ``retries`` resubmissions."""
+    root = str(tmp_path / "root")
+    task = FlakyTask(fail_times=1, state_dir=str(tmp_path / "state"))
+    payloads = list(range(6))
+    run = create_run(root, task, payloads, n_shards=3)
+    with open(os.path.join(run.run_dir, CONFIG_NAME), "wb") as fh:
+        pickle.dump({
+            "retry": None, "retries": 1, "timeout": None,
+            "deadline_wall": None, "lease_ttl": 5.0,
+            "heartbeat_interval": None, "worker_backend": None,
+            "collect": False,
+        }, fh)
+    backend = ShardedBackend(n_workers=1, root=root, n_shards=3,
+                             lease_ttl=5.0, spawn=False)
+    assert backend.map(task, payloads) == payloads
+    assert all(
+        attempt_count(str(tmp_path / "state"),
+                      fingerprint("flaky-task", p)) == 2
+        for p in payloads
+    )
 
 
 def test_worker_stats_account_for_resume(tmp_path):

@@ -4,7 +4,7 @@ Injected failures at the *protocol* level — a worker process SIGKILLed
 mid-shard, a lease left behind by a dead owner, many stealers racing
 for one stale lease — must never change merged results: takeover is
 single-winner, commits are exactly-once, and the surviving fleet (or
-the driver drain) completes the run bitwise-identically.
+the driver itself) completes the run bitwise-identically.
 """
 
 import os
@@ -30,7 +30,11 @@ from repro.testing.chaos import (
     fingerprint,
 )
 
-pytestmark = pytest.mark.chaos
+pytestmark = [
+    pytest.mark.chaos,
+    # every test must end with no shard worker left alive
+    pytest.mark.usefixtures("no_leftover_processes"),
+]
 
 
 # module-level so shard workers can pickle it
@@ -182,15 +186,42 @@ class TestDuplicateClaimRace:
         assert holder.held()
 
     def test_race_repeats_deterministically_single_winner(self, tmp_path):
-        """Ten consecutive races: never zero winners, never two."""
-        for round_index in range(10):
+        """300 consecutive races of 8 stealers: never zero winners,
+        never two, and the winner holds the lease afterwards."""
+        for round_index in range(300):
             path = str(tmp_path / f"lease-{round_index}")
             assert LeaseFile(path, owner="dead", ttl=30.0).acquire()
             expire_lease(path)
             winners = contend_steal(
-                path, [f"w{round_index}-{i}" for i in range(4)], ttl=30.0
+                path, [f"w{round_index}-{i}" for i in range(8)], ttl=30.0
             )
             assert len(winners) == 1
+            assert LeaseFile(path, owner=winners[0], ttl=30.0).held()
+
+    def test_late_stealer_loses_to_a_completed_steal(self, tmp_path,
+                                                     monkeypatch):
+        """Regression: a stealer that read the dead owner's record must
+        not take over once another stealer has completed its steal —
+        it would rename away the winner's fresh lease, and both steals
+        would report success."""
+        path = str(tmp_path / "contested.lease")
+        assert LeaseFile(path, owner="dead-owner", ttl=30.0).acquire()
+        expire_lease(path)
+        first = LeaseFile(path, owner="first", ttl=30.0)
+        late = LeaseFile(path, owner="late", ttl=30.0)
+        first_won = []
+
+        def first_steals_after_late_reads(record=None):
+            # `late` has read the stale record and is judging it; the
+            # whole of `first`'s steal lands before `late` claims
+            first_won.append(first.steal())
+            return LeaseFile.is_stale(late, record)
+
+        monkeypatch.setattr(late, "is_stale", first_steals_after_late_reads)
+        assert not late.steal()
+        assert first_won == [True]
+        assert first.held()
+        assert not late.held()
 
     def test_duplicate_execution_commits_identically(self, tmp_path):
         """The unavoidable revived-owner window: two workers execute
